@@ -1,13 +1,22 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt-check check bench bench-obs bench-audit bench-recorder bench-market bench-trace bench-tenants bench-heat bench-all attacksim fuzz-smoke
+.PHONY: build test test-procs race vet fmt-check check bench bench-obs bench-audit bench-recorder bench-market bench-trace bench-tenants bench-heat bench-all attacksim fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-procs runs the full suite at several core counts so behaviour
+# that depends on GOMAXPROCS (stripe and shard counts) cannot hide
+# behind a single-core machine.
+test-procs:
+	@set -e; for p in 1 2 8; do \
+		echo "== GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./...; \
+	done
 
 vet:
 	$(GO) vet ./...

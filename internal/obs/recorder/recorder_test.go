@@ -74,24 +74,39 @@ func TestRecorderRetainsAndFilters(t *testing.T) {
 }
 
 func TestRecorderRingOverwritesOldest(t *testing.T) {
-	r := New(8) // per shard; a single goroutine lands on one shard
+	// New's argument is per stripe, and Record stripes round-robin by
+	// Seq, so the ring holds 8 frames on each of len(r.shards) stripes
+	// (New's docstring). With one writer, stripe i gets the Seqs ≡ i
+	// (mod stripes) and keeps its last 8, so a full ring retains
+	// exactly the newest capacity Seqs.
+	r := New(8)
+	capacity := 8 * len(r.shards)
+	n := 100
+	if n <= capacity {
+		n = 2 * capacity // fill the ring and overwrite it
+	}
 	app := Intern("churn")
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		r.Record(Frame{Kind: KindMediatedCall, App: app})
 	}
-	if r.Recorded() != 100 {
-		t.Fatalf("recorded = %d, want 100", r.Recorded())
+	if r.Recorded() != uint64(n) {
+		t.Fatalf("recorded = %d, want %d", r.Recorded(), n)
 	}
 	got := r.Snapshot(FrameFilter{App: "churn"})
-	if len(got) != 8 {
-		t.Fatalf("ring kept %d frames, want 8", len(got))
+	if len(got) != capacity {
+		t.Fatalf("ring kept %d frames, want %d", len(got), capacity)
 	}
-	// The retained frames are the newest ones.
-	if got[len(got)-1].Seq != 100 {
-		t.Fatalf("newest retained seq = %d, want 100", got[len(got)-1].Seq)
+	// The retained frames are the newest ones: Seq n-capacity+1 … n.
+	for i, f := range got {
+		if want := uint64(n - capacity + 1 + i); f.Seq != want {
+			t.Fatalf("retained frame %d has seq %d, want %d", i, f.Seq, want)
+		}
 	}
-	if r.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", r.Len())
+	if got[len(got)-1].Seq != uint64(n) {
+		t.Fatalf("newest retained seq = %d, want %d", got[len(got)-1].Seq, n)
+	}
+	if r.Len() != capacity {
+		t.Fatalf("Len = %d, want %d", r.Len(), capacity)
 	}
 }
 
